@@ -112,94 +112,53 @@ module Request = struct
     { t with requirements; bits = requirements.Database.bits }
 end
 
-(* Static analysis happens strictly before any GP work: candidates are
-   generated (cheap — netlist construction only), linted, and in [`Strict]
-   mode an unwaived Error-severity finding fails the whole request with
-   the structured {!Error.Lint_failed} — the engine never sees the
-   candidates, so nothing meaningless lands in its solve cache. *)
-let lint_candidates ?db (r : Request.t) =
-  match r.Request.lint with
-  | `Off -> Ok []
-  | (`Warn | `Strict) as mode ->
-    let db = match db with Some db -> db | None -> Database.builtins () in
-    let built =
-      Database.build_all db ~kind:r.Request.kind r.Request.requirements
+(* Static analysis happens strictly before any GP work, over the menu the
+   database builds once per request.  Every candidate is linted; in
+   [`Strict] mode an unwaived Error-severity finding fails the whole
+   request with the structured {!Error.Lint_failed}.  Then the interval
+   precheck: when {e every} candidate carries an infeasibility
+   certificate, the request is provably unservable and is rejected with
+   one structured error.  A request either gate rejects sizes nothing, so
+   nothing meaningless lands in the solve cache; a partially-certified
+   menu proceeds (the certified candidates fast-fail inside the sizer).
+   The engine memoizes this prelude, so a repeated request pays a
+   lookup. *)
+let run ?db (r : Request.t) =
+  let db = match db with Some db -> db | None -> Database.builtins () in
+  let menu =
+    List.map
+      (fun ((e : Database.entry), info) -> (e.Database.entry_name, info))
+      (Database.build_all db ~kind:r.Request.kind r.Request.requirements)
+  in
+  match menu with
+  | [] -> Error (Error.No_applicable_topology { kind = r.Request.kind })
+  | _ -> (
+    let engine =
+      match r.Request.engine with Some e -> e | None -> Engine.default ()
     in
-    let reports =
-      List.map
-        (fun (_, info) ->
-          Lint.run ~tech:r.Request.tech ~spec:r.Request.spec
-            info.Smart_macros.Macro.netlist)
-        built
+    let prelude =
+      Engine.prelude engine ~lint:r.Request.lint ?corners:r.Request.corners
+        ~options:r.Request.options r.Request.tech r.Request.spec
+        (List.map (fun (_, info) -> info.Smart_macros.Macro.netlist) menu)
     in
-    let failing = List.filter (fun rep -> not (Lint.ok rep)) reports in
-    (match (mode, failing) with
-    | `Strict, rep :: _ ->
+    let lints = prelude.Engine.lints in
+    match
+      (r.Request.lint, List.find_opt (fun rep -> not (Lint.ok rep)) lints)
+    with
+    | `Strict, Some rep ->
       Error
         (Error.Lint_failed
            { netlist = rep.Lint.netlist; diagnostics = Lint.gating rep })
-    | _ -> Ok reports)
-
-(* Interval precheck, same discipline as the lint gate: every candidate's
-   generated program is abstractly interpreted (Smart_absint) before the
-   engine sees anything; when {e every} candidate carries an
-   infeasibility certificate, the request is provably unservable and is
-   rejected with one structured error — no candidate is compiled, solved
-   or cached.  A partially-certified menu proceeds: the certified
-   candidates fast-fail inside the sizer, the rest compete as usual. *)
-let absint_candidates ?db (r : Request.t) =
-  if not r.Request.options.Sizer.absint then None
-  else
-    let db = match db with Some db -> db | None -> Database.builtins () in
-    let built =
-      Database.build_all db ~kind:r.Request.kind r.Request.requirements
-    in
-    if built = [] then None
-    else begin
-      (* Under a corner set the joint sizing must hold at the nominal
-         corner too, so a nominal-tech certificate already covers the
-         robust flow. *)
-      let tech =
-        match r.Request.corners with
-        | Some set -> (Corners.nominal set).Corners.tech
-        | None -> r.Request.tech
-      in
-      let robust = r.Request.corners <> None in
-      let errs =
-        List.map
-          (fun (_, info) ->
-            let generated =
-              Constraints.generate
-                ~reductions:r.Request.options.Sizer.reductions
-                ~objective:r.Request.options.Sizer.objective tech
-                info.Smart_macros.Macro.netlist r.Request.spec
-            in
-            Absint.infeasibility
-              ~options:(Absint.sizer_options ~robust)
-              ~target_ps:r.Request.spec.Constraints.target_delay
-              generated.Constraints.problem)
-          built
-      in
-      if List.for_all Option.is_some errs then List.hd errs else None
-    end
-
-let run ?db (r : Request.t) =
-  match lint_candidates ?db r with
-  | Error e -> Error e
-  | Ok lints -> (
-    match absint_candidates ?db r with
-    | Some e -> Error e
-    | None -> (
-      let db = match db with Some db -> db | None -> Database.builtins () in
-      match
-        Explore.explore_typed ?engine:r.Request.engine ~options:r.Request.options
-          ?corners:r.Request.corners ~hier:r.Request.hier
-          ~rewrite:r.Request.rewrite ~metric:r.Request.metric ~db
-          ~kind:r.Request.kind ~requirements:r.Request.requirements
-          r.Request.tech r.Request.spec
-      with
-      | Error e -> Error e
-      | Ok ranking ->
-        Ok { ranking; metric = r.Request.metric; spec = r.Request.spec; lints }))
+    | _ -> (
+      match prelude.Engine.precheck with
+      | Some e -> Error e
+      | None ->
+        Result.map
+          (fun ranking ->
+            { ranking; metric = r.Request.metric; spec = r.Request.spec; lints })
+          (Explore.tune_typed ~engine ~options:r.Request.options
+             ?corners:r.Request.corners ~hier:r.Request.hier
+             ~rewrite:r.Request.rewrite ~metric:r.Request.metric
+             ~variants:menu r.Request.tech r.Request.spec)))
 
 let version = "1.4.0"

@@ -186,6 +186,9 @@ val run : ?db:Database.t -> Request.t -> (advice, Error.t) result
     [options.absint] is off — an interval-analysis precheck
     ({!Absint}) that rejects the request with
     {!Error.Infeasible_spec} when {e every} candidate's generated
-    program carries an infeasibility certificate. *)
+    program carries an infeasibility certificate.  The candidate menu is
+    built once and shared by both gates and the sizing; the gates' result
+    is memoized in the request's engine ({!Engine.prelude}), so a repeated
+    request runs neither the linter nor the precheck again. *)
 
 val version : string

@@ -6,6 +6,7 @@ module Constraints = Smart_constraints.Constraints
 module Corners = Smart_corners.Corners
 module Sizer = Smart_sizer.Sizer
 module Absint = Smart_absint.Absint
+module Lint = Smart_lint.Lint
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -305,12 +306,21 @@ type analysis_report = {
   delay_lo_ps : float;
 }
 
+(* The per-request static-analysis prelude: one lint report per menu
+   candidate and the interval precheck's verdict over the whole menu.
+   Plain data, so it persists like an analysis report. *)
+type prelude = {
+  lints : Lint.report list;
+  precheck : Err.t option;
+}
+
 module Cache = struct
   type cached =
     | Sized of (Sizer.outcome, Err.t) result
     | Min of (Sizer.min_delay, Err.t) result
     | Robust of (Sizer.robust_outcome, Err.t) result
     | Analysis of analysis_report
+    | Prelude of prelude
 
   type entry = { mutable last_use : int; value : cached }
 
@@ -341,17 +351,25 @@ module Cache = struct
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+  (* Caller holds the lock.  A resident entry is refreshed in the LRU
+     order. *)
+  let touch t key =
+    t.tick <- t.tick + 1;
+    match Hashtbl.find_opt t.table key with
+    | Some e ->
+      e.last_use <- t.tick;
+      Some e.value
+    | None -> None
+
   let find t key =
     locked t (fun () ->
-        t.tick <- t.tick + 1;
-        match Hashtbl.find_opt t.table key with
-        | Some e ->
-          e.last_use <- t.tick;
-          t.hits <- t.hits + 1;
-          Some e.value
-        | None ->
-          t.misses <- t.misses + 1;
-          None)
+        let v = touch t key in
+        if Option.is_some v then t.hits <- t.hits + 1
+        else t.misses <- t.misses + 1;
+        v)
+
+  (* [find] without the hit/miss accounting. *)
+  let peek t key = locked t (fun () -> touch t key)
 
   (* Evict the least-recently-used entry.  A linear scan: capacities are
      small (hundreds) and eviction only runs when the cache is full.
@@ -446,6 +464,15 @@ module Store = struct
   }
 end
 
+let corner_key corners =
+  Option.map
+    (fun set ->
+      List.map
+        (fun (c : Corners.corner) ->
+          (c.Corners.corner_name, c.Corners.rc_scale, c.Corners.tech))
+        (Corners.to_list set))
+    corners
+
 (* The cache key digests the structural identity of a solve: netlist
    wiring and size-label set (the name is dropped so structurally equal
    candidates share entries), the delay specification, the technology —
@@ -468,20 +495,30 @@ let solve_key ~tag ?corners ~(options : Sizer.options) tech (nl : Netlist.t) spe
       nl.Netlist.ext_loads,
       Netlist.labels nl )
   in
-  let corner_key =
-    match corners with
-    | None -> None
-    | Some set ->
-      Some
-        (List.map
-           (fun (c : Corners.corner) ->
-             (c.Corners.corner_name, c.Corners.rc_scale, c.Corners.tech))
-           (Corners.to_list set))
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( cache_version (), tag, corner_key corners, structure, spec, tech,
+            options )
+          []))
+
+(* The prelude key digests the candidates' {e full} netlists: lint
+   diagnostics name instances, honour in-netlist waivers and carry the
+   netlist name, all of which [solve_key]'s structure drops.  It also
+   covers the lint registry (rule ids and {!Lint.generation}) and the
+   lint mode, which decides whether a Strict gate skips the precheck. *)
+let prelude_key ~lint ?corners ~(options : Sizer.options) tech spec
+    (netlists : Netlist.t list) =
+  let registry =
+    (List.map (fun (r : Smart_lint.Rules.rule) -> r.Smart_lint.Rules.id)
+       (Lint.rules ()),
+     Lint.generation ())
   in
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          (cache_version (), tag, corner_key, structure, spec, tech, options)
+          ( cache_version (), "prelude", lint, registry, corner_key corners,
+            netlists, spec, tech, options )
           []))
 
 (* ------------------------------------------------------------------ *)
@@ -592,6 +629,22 @@ let encode_entry (v : Cache.cached) =
 let decode_entry blob : Cache.cached option =
   try Some (Marshal.from_string blob 0) with _ -> None
 
+(* Fetch a store entry and promote it into the memory LRU.  [counted_miss]
+   as in {!Cache.store_promote}: a probe that counted no miss passes
+   [false], so it moves no hit/miss statistic. *)
+let from_store ?counted_miss t key =
+  match Atomic.get t.store with
+  | None -> None
+  | Some (store : Store.t) -> (
+    match (try store.Store.find key with _ -> None) with
+    | None -> None
+    | Some blob -> (
+      match decode_entry blob with
+      | None -> None
+      | Some v ->
+        Cache.store_promote ?counted_miss t.cache key v;
+        Some v))
+
 (* Two-level lookup: memory first, then the persistent store; a store hit
    is promoted into the memory LRU so repeats are pure memory hits. *)
 let lookup t ~tag ?corners ~options tech netlist spec =
@@ -600,32 +653,23 @@ let lookup t ~tag ?corners ~options tech netlist spec =
     let key = solve_key ~tag ?corners ~options tech netlist spec in
     match Cache.find t.cache key with
     | Some v -> (key, Some (v, Trace.Hit))
-    | None -> (
-      match Atomic.get t.store with
-      | None -> (key, None)
-      | Some (store : Store.t) -> (
-        match (try store.Store.find key with _ -> None) with
-        | None -> (key, None)
-        | Some blob -> (
-          match decode_entry blob with
-          | None -> (key, None)
-          | Some v ->
-            Cache.store_promote t.cache key v;
-            (key, Some (v, Trace.Disk)))))
+    | None ->
+      (key, Option.map (fun v -> (v, Trace.Disk)) (from_store t key))
   end
 
-(* Memoize an [Ok] outcome in memory and, when a store is plugged in,
-   persist it.  Error outcomes are never published anywhere — a transient
-   failure must not replay as a hit, in memory or across restarts. *)
-let publish t key v =
+(* Memoize an [Ok] outcome in memory and, when a store is plugged in and
+   [persist] holds, persist it.  Error outcomes are never published
+   anywhere — a transient failure must not replay as a hit, in memory or
+   across restarts. *)
+let publish ?(persist = true) t key v =
   if t.cache.Cache.capacity > 0 && key <> "" then begin
     Cache.add t.cache key v;
     match Atomic.get t.store with
-    | None -> ()
-    | Some (store : Store.t) -> (
+    | Some (store : Store.t) when persist -> (
       match encode_entry v with
       | Some blob -> ( try store.Store.save key blob with _ -> ())
       | None -> ())
+    | _ -> ()
   end
 
 (* Warm the memory cache from the persistent store without touching the
@@ -636,19 +680,8 @@ let prefetch t ~options tech netlist spec =
   if t.cache.Cache.capacity <= 0 then false
   else begin
     let key = solve_key ~tag:"size" ~options tech netlist spec in
-    if Cache.mem t.cache key then true
-    else
-      match Atomic.get t.store with
-      | None -> false
-      | Some (store : Store.t) -> (
-        match (try store.Store.find key with _ -> None) with
-        | None -> false
-        | Some blob -> (
-          match decode_entry blob with
-          | None -> false
-          | Some v ->
-            Cache.store_promote ~counted_miss:false t.cache key v;
-            true))
+    Cache.mem t.cache key
+    || Option.is_some (from_store ~counted_miss:false t key)
   end
 
 let emit t event =
@@ -864,6 +897,76 @@ let analyze t ?label ~options tech netlist spec =
     in
     emit t (Trace.Analysis { label; wall_s; cache });
     a
+
+(* Lint every candidate, then — unless a Strict gate already fails the
+   request — certify the menu infeasible when every candidate's program
+   carries an interval certificate.  Under a corner set the joint sizing
+   must hold at the nominal corner too, so a nominal-tech certificate
+   covers the robust flow. *)
+let compute_prelude ~lint ?corners ~(options : Sizer.options) tech spec
+    netlists =
+  let lints =
+    match lint with
+    | `Off -> []
+    | `Warn | `Strict -> List.map (fun nl -> Lint.run ~tech ~spec nl) netlists
+  in
+  let gated = lint = `Strict && not (List.for_all Lint.ok lints) in
+  let precheck =
+    if gated || not options.Sizer.absint then None
+    else
+      let tech =
+        match corners with
+        | Some set -> (Corners.nominal set).Corners.tech
+        | None -> tech
+      in
+      let certificate nl =
+        let generated =
+          Constraints.generate ~reductions:options.Sizer.reductions
+            ~objective:options.Sizer.objective tech nl spec
+        in
+        Absint.infeasibility
+          ~options:(Absint.sizer_options ~robust:(corners <> None))
+          ~target_ps:spec.Constraints.target_delay
+          generated.Constraints.problem
+      in
+      match netlists with
+      | [] -> None
+      | first :: rest ->
+        let cert = certificate first in
+        if
+          Option.is_some cert
+          && List.for_all (fun nl -> Option.is_some (certificate nl)) rest
+        then cert
+        else None
+  in
+  { lints; precheck }
+
+(* One entry per request, not two per candidate: a warm request pays one
+   lookup for its whole prelude.  Lookups are probes — they never move
+   the hit/miss counters, which keep describing sizings and analyses.  A
+   prelude holding a crashed lint run is never published (like an
+   [Error] sizing), and one computed under a runtime-modified lint
+   registry stays in memory: the generation counter is process-local. *)
+let prelude t ~lint ?corners ~options tech spec netlists =
+  let compute () = compute_prelude ~lint ?corners ~options tech spec netlists in
+  if (not (caching t)) || (lint = `Off && not options.Sizer.absint) then
+    compute ()
+  else begin
+    let key = prelude_key ~lint ?corners ~options tech spec netlists in
+    let probe =
+      match Cache.peek t.cache key with
+      | Some v -> Some v
+      | None -> from_store ~counted_miss:false t key
+    in
+    match probe with
+    | Some (Cache.Prelude p) -> p
+    | _ ->
+      let p = compute () in
+      if List.for_all (fun (r : Lint.report) -> r.Lint.crashed = []) p.lints
+      then
+        publish ~persist:(Lint.generation () = 0) t key (Cache.Prelude p);
+      p
+  end
 
 let size_all t ~options tech spec named =
   let indexed = List.mapi (fun i nv -> (i, nv)) named in

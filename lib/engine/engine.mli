@@ -277,6 +277,40 @@ val analyze :
     isomorphism classes, repeated advisory calls) are free.  Emits one
     {!Trace.Analysis} span. *)
 
+type prelude = {
+  lints : Smart_lint.Lint.report list;
+      (** one report per candidate, menu order; [[]] under lint [`Off] *)
+  precheck : Err.t option;
+      (** an infeasibility certificate when every candidate's program
+          carries one (the request is provably unservable); [None] when
+          any candidate may be feasible, when [options.absint] is off,
+          or when a [`Strict] lint gate already fails the request *)
+}
+(** The static analysis a request runs before any GP work.  Plain data,
+    like {!analysis_report}. *)
+
+val prelude :
+  t ->
+  lint:[ `Off | `Warn | `Strict ] ->
+  ?corners:Corners.set ->
+  options:Sizer.options ->
+  Tech.t ->
+  Constraints.spec ->
+  Netlist.t list ->
+  prelude
+(** Memoized request prelude over a candidate menu: {!Smart_lint.Lint.run}
+    on each netlist (against [Tech.t] and the spec), then the interval
+    precheck ({!Smart_absint.Absint.infeasibility} on each candidate's
+    generated program, at the nominal corner of [corners] when given).
+    One cache entry per request, in the same LRU and persistent store as
+    sizings; its key digests the full netlists (names, instance names and
+    waivers included), the lint mode and rule registry
+    ({!Smart_lint.Lint.generation}), tech, corners, spec and options.
+    Lookups are probes, like {!prefetch}: they never move the
+    {!cache_stats} counters and emit no trace event.  A prelude holding a
+    crashed lint rule is never memoized; one computed after a
+    {!Smart_lint.Lint.register} is memoized in memory only. *)
+
 val size_all :
   t ->
   options:Sizer.options ->

@@ -15,12 +15,18 @@ let span = "lint.run"
 
 let registry : Rules.rule list ref = ref Rules.builtin
 
+(* Bumped by every [register]: rules are closures, so ids alone cannot
+   tell a replaced rule from the one it replaced. *)
+let generation_counter = Atomic.make 0
+
 let rules () = !registry
+let generation () = Atomic.get generation_counter
 
 let register (r : Rules.rule) =
   registry :=
     List.filter (fun (r' : Rules.rule) -> r'.Rules.id <> r.Rules.id) !registry
-    @ [ r ]
+    @ [ r ];
+  Atomic.incr generation_counter
 
 let live sev (d : Report.diag) = d.Report.severity = sev && not d.Report.waived
 

@@ -32,7 +32,14 @@ val span : string
 
 val rules : unit -> Rules.rule list
 val register : Rules.rule -> unit
-(** Append a rule to the registry (replaces any rule with the same id). *)
+(** Append a rule to the registry (replaces any rule with the same id)
+    and bump {!generation}. *)
+
+val generation : unit -> int
+(** How many times {!register} has run in this process ([0]: the
+    registry is {!Rules.builtin}).  With the rule ids it identifies the
+    registry, so memoized reports ({!Smart_engine.Engine.prelude}) never
+    outlive a rule replaced under the same id. *)
 
 val run :
   ?tech:Smart_tech.Tech.t ->

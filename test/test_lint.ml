@@ -427,12 +427,93 @@ let test_strict_survives_rule_crash () =
       | c :: _ -> c.Smart.Explore.entry_name
       | [] -> ""
     in
-    Alcotest.(check string) "same best topology after crash" (best b) (best a)
+    Alcotest.(check string) "same best topology after crash" (best b) (best a);
+    (* The crashed prelude was not memoized: the clean rerun linted
+       afresh. *)
+    checkb "clean rerun: no crashed rules" true
+      (List.for_all (fun (rep : Lint.report) -> rep.Lint.crashed = []) b.Smart.lints);
+    checkb "clean rerun: no rule-crash diagnostic" false
+      (List.exists (fires "lint/rule-crash") b.Smart.lints)
   | Error e, _ ->
     Alcotest.fail ("request aborted by rule crash: " ^ Smart.Error.to_string e)
   | _, Error e ->
     Alcotest.fail ("clean rerun failed: " ^ Smart.Error.to_string e));
   Fault.reset ()
+
+(* ---------------- memoized preludes ---------------- *)
+
+(* One unkept domino stage driving an external load: [family/keeper]
+   names the instance, so its name and a waiver both show in the report. *)
+let keeperless ?(name = "keeperless") ?(inst = "d1") ?waive () =
+  let b = B.create name in
+  let i = B.input b "in" in
+  let out = B.output b "out" in
+  B.inst b ~name:inst ~cell:(domino1 ~keeper:false ~tag:"A" ())
+    ~inputs:[ ("a", i) ] ~out ();
+  B.ext_load b out 5.;
+  Option.iter (fun loc -> B.waive b ~rule:"family/keeper" ~loc "test") waive;
+  B.freeze b
+
+let prelude_lints engine nl =
+  (Smart.Engine.prelude engine ~lint:`Warn ~options:Smart.Sizer.default_options
+     Smart.Tech.default (Smart.Constraints.spec 150.) [ nl ])
+    .Smart.Engine.lints
+
+let direct_lints nl =
+  [ Lint.run ~tech:Smart.Tech.default ~spec:(Smart.Constraints.spec 150.) nl ]
+
+(* Structural twins share a sizing entry but never a lint report: the
+   prelude key sees the netlist name, instance names and waivers. *)
+let test_prelude_key_sees_identity () =
+  let engine = Smart.Engine.create ~workers:1 () in
+  let base = keeperless () in
+  checkb "keeper rule fires on the base" true
+    (fires "family/keeper" (Lint.run base));
+  ignore (prelude_lints engine base);
+  List.iter
+    (fun (tag, nl) ->
+      let got = prelude_lints engine nl in
+      checkb (tag ^ ": own report") true (got = direct_lints nl);
+      checkb (tag ^ ": differs from the base") true (got <> direct_lints base))
+    [
+      ("name", keeperless ~name:"renamed" ());
+      ("instance names", keeperless ~inst:"stage0" ());
+      ("waivers", keeperless ~waive:"d1" ());
+    ];
+  checkb "base still served its own report" true
+    (prelude_lints engine base = direct_lints base)
+
+(* Replacing a rule under an existing id must not let a prelude memoized
+   under the old rule answer. *)
+let test_register_invalidates_prelude () =
+  let engine = Smart.Engine.create ~workers:1 () in
+  let nl = clean_chain () in
+  let original = List.hd (Lint.rules ()) in
+  let marker = "replacement rule fired" in
+  let marked lints =
+    List.exists
+      (fun (rep : Lint.report) ->
+        List.exists (fun (d : Report.diag) -> d.Report.message = marker) rep.Lint.diags)
+      lints
+  in
+  checkb "before: original rule" false (marked (prelude_lints engine nl));
+  Fun.protect
+    ~finally:(fun () -> Lint.register original)
+    (fun () ->
+      Lint.register
+        {
+          original with
+          Rules.check =
+            (fun _ ->
+              [
+                Report.diag ~rule:original.Rules.id ~severity:Report.Info
+                  ~loc:Report.Whole_netlist marker;
+              ]);
+        };
+      checkb "after register: replacement rule" true
+        (marked (prelude_lints engine nl)));
+  checkb "after restore: original rule again" false
+    (marked (prelude_lints engine nl))
 
 let () =
   Alcotest.run "lint"
@@ -475,5 +556,12 @@ let () =
             test_rule_crash_degrades;
           Alcotest.test_case "strict survives crash, cache clean" `Quick
             test_strict_survives_rule_crash;
+        ] );
+      ( "prelude",
+        [
+          Alcotest.test_case "key sees name, instances, waivers" `Quick
+            test_prelude_key_sees_identity;
+          Alcotest.test_case "register invalidates" `Quick
+            test_register_invalidates_prelude;
         ] );
     ]

@@ -301,13 +301,31 @@ let advice_of_line line =
     | Some a, Some (Jsonx.Str c) -> (a, c)
     | _ -> Alcotest.fail ("no advice in: " ^ line))
 
+let counts_match_spans tag engine events =
+  let count status =
+    List.length
+      (List.filter
+         (function
+           | Engine.Trace.Sizing { cache; _ }
+           | Engine.Trace.Min_delay { cache; _ }
+           | Engine.Trace.Analysis { cache; _ } ->
+             cache = status
+           | _ -> false)
+         events)
+  in
+  let stats = Engine.cache_stats engine in
+  let checki what = Alcotest.(check int) (tag ^ ": " ^ what) in
+  checki "memory hits" (count Engine.Trace.Hit) stats.Engine.hits;
+  checki "disk hits" (count Engine.Trace.Disk) stats.Engine.store_hits;
+  checki "misses" (count Engine.Trace.Miss) stats.Engine.misses
+
 let test_disk_cache_across_restart () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "smart-serve-test-%d" (Unix.getpid ()))
   in
   (* Daemon 1: cold solve, persisted. *)
-  let sink1, _events1 = Engine.Trace.memory () in
+  let sink1, events1 = Engine.Trace.memory () in
   let e1 = Engine.create ~workers:1 ~sink:sink1 () in
   let s1 = Server.create ~workers:1 ~cache_dir:dir ~engine:e1 () in
   let a1, c1 = advice_of_line (Server.handle_line s1 advise_line) in
@@ -337,7 +355,103 @@ let test_disk_cache_across_restart () =
   (* In-memory hit on the third serve of the same daemon. *)
   let _, c3 = advice_of_line (Server.handle_line s2 advise_line) in
   checks "third serve from memory" "memory" c3;
-  Server.shutdown s2
+  Server.shutdown s2;
+  (* The counters describe sizings and analyses only: each counted lookup
+     emits one span with its status, and the prelude lookups behind every
+     serve add none. *)
+  counts_match_spans "first daemon" e1 (events1 ());
+  counts_match_spans "second daemon" e2 (events2 ())
+
+(* A request whose sizing misses is "solved" even though its prelude
+   (lint reports and precheck, keyed without the metric) is a hit. *)
+let test_prelude_hit_is_not_a_cache_hit () =
+  let server = Server.create ~workers:1 () in
+  let line metric =
+    Printf.sprintf
+      {|{"op":"advise","kind":"mux","bits":4,"delay":160,"metric":"%s"}|} metric
+  in
+  let _, c1 = advice_of_line (Server.handle_line server (line "area")) in
+  checks "area: solved" "solved" c1;
+  let _, c2 = advice_of_line (Server.handle_line server (line "power")) in
+  checks "power after area: solved" "solved" c2;
+  let _, c3 = advice_of_line (Server.handle_line server (line "power")) in
+  checks "power again: memory" "memory" c3;
+  Server.shutdown server
+
+(* The same request gets the same response — diagnostics sidecar, advice
+   and error alike — whichever route serves it: caching off, a cold
+   solve, a memory hit, a disk hit after a restart. *)
+let route_requests =
+  [
+    {|{"id":"m4","op":"advise","kind":"mux","bits":4,"delay":160}|};
+    {|{"id":"m8","op":"advise","kind":"mux","bits":8,"delay":200}|};
+    {|{"id":"c8","op":"advise","kind":"comparator","bits":8,"delay":250}|};
+    {|{"id":"ftc","op":"advise","kind":"mux","bits":4,"delay":200,"corners":"fast,typ,slow"}|};
+    {|{"id":"strict","op":"advise","kind":"mux","bits":8,"delay":200,"lint":"strict"}|};
+    {|{"id":"inf","op":"advise","kind":"incrementor","bits":8,"delay":5}|};
+  ]
+
+(* A response with its route-dependent fields ([wall_ms], [cache]) dropped,
+   and the cache label. *)
+let strip_route line =
+  match Jsonx.parse line with
+  | Ok (Jsonx.Obj fields) ->
+    ( Jsonx.to_string
+        (Jsonx.Obj
+           (List.filter (fun (k, _) -> k <> "wall_ms" && k <> "cache") fields)),
+      Option.bind (Jsonx.member "cache" (Jsonx.Obj fields)) Jsonx.to_str )
+  | _ -> Alcotest.fail ("not a JSON object: " ^ line)
+
+let test_routes_agree () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "smart-serve-routes-%d" (Unix.getpid ()))
+  in
+  let with_server s f = Fun.protect ~finally:(fun () -> Server.shutdown s) f in
+  let serve s =
+    List.map (fun l -> strip_route (Server.handle_line s l)) route_requests
+  in
+  let uncached =
+    let engine = Engine.create ~workers:1 ~cache_capacity:0 () in
+    let s = Server.create ~workers:1 ~engine () in
+    with_server s (fun () -> serve s)
+  in
+  let cold, memory =
+    let s = Server.create ~workers:1 ~cache_dir:dir () in
+    with_server s (fun () ->
+        let cold = serve s in
+        (cold, serve s))
+  in
+  let disk =
+    let s = Server.create ~workers:1 ~cache_dir:dir () in
+    with_server s (fun () -> serve s)
+  in
+  List.iteri
+    (fun i req ->
+      let body route = fst (List.nth route i) in
+      let label route = snd (List.nth route i) in
+      List.iter
+        (fun (name, route) ->
+          checks (Printf.sprintf "%s: %s = uncached" req name) (body uncached)
+            (body route))
+        [ ("cold", cold); ("memory", memory); ("disk", disk) ];
+      (* Successful replays never solve; errors carry no label. *)
+      List.iter
+        (fun (name, route) ->
+          checkb (Printf.sprintf "%s: %s replay not solved" req name) true
+            (label route <> Some "solved"))
+        [ ("memory", memory); ("disk", disk) ])
+    route_requests;
+  let code =
+    (* [inf], the last request *)
+    match Jsonx.parse (fst (List.hd (List.rev uncached))) with
+    | Ok j ->
+      Option.bind (Jsonx.member "error" j) (fun e ->
+          Option.bind (Jsonx.member "code" e) Jsonx.to_str)
+    | Error _ -> None
+  in
+  Alcotest.(check (option string)) "infeasible request: certified error"
+    (Some "infeasible-spec") code
 
 let test_store_stamp_invalidation () =
   let dir =
@@ -425,6 +539,9 @@ let () =
             test_disk_cache_across_restart;
           Alcotest.test_case "stamp invalidation" `Quick
             test_store_stamp_invalidation;
+          Alcotest.test_case "prelude hit is not a cache hit" `Quick
+            test_prelude_hit_is_not_a_cache_hit;
+          Alcotest.test_case "routes agree" `Quick test_routes_agree;
         ] );
       ( "daemon",
         [
