@@ -89,13 +89,10 @@ let run ~fast () =
       let eng_seq = Engine.create ~workers:1 ~cache_capacity:0 () in
       let eng_par = Engine.create ~workers:(Runner.workers ()) ~cache_capacity:0 () in
       let res_seq, wall_seq =
-        time (fun () ->
-            Engine.size_robust eng_seq ~pooled_verify:false ~options set nl
-              spec)
+        time (fun () -> Engine.size_robust eng_seq ~options set nl spec)
       in
       let res_par, wall_par =
-        time (fun () ->
-            Engine.size_robust eng_par ~pooled_verify:true ~options set nl spec)
+        time (fun () -> Engine.size_robust eng_par ~options set nl spec)
       in
       match (res_seq, res_par) with
       | Error e, _ | _, Error e ->

@@ -528,13 +528,24 @@ let prelude_key ~lint ?corners ~(options : Sizer.options) tech spec
 module Pool = struct
   let recommended () = Domain.recommended_domain_count ()
 
+  (* Set while the current domain runs items of a [map]: the spawned
+     workers and the caller's own share.  A [map] entered under it runs
+     inline — the outer map already occupies the cores, and nested spawns
+     (candidates x corner verifies) would only oversubscribe them. *)
+  let inside = Domain.DLS.new_key (fun () -> false)
+
+  let as_worker f =
+    Domain.DLS.set inside true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set inside false) f
+
   (* Work-stealing over a shared index: each domain repeatedly claims the
      next unprocessed item.  Results land in their input slot, so order is
      preserved whatever the interleaving. *)
   let map ~workers f xs =
     let n = List.length xs in
     let w = min workers n in
-    if w <= 1 then List.map f xs
+    if Domain.DLS.get inside then List.map f xs
+    else if w <= 1 then as_worker (fun () -> List.map f xs)
     else begin
       let input = Array.of_list xs in
       let results = Array.make n None in
@@ -552,8 +563,13 @@ module Pool = struct
         in
         loop ()
       in
-      let domains = List.init (w - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
+      let domains =
+        List.init (w - 1) (fun _ ->
+            Domain.spawn (fun () ->
+                Domain.DLS.set inside true;
+                worker ()))
+      in
+      as_worker worker;
       List.iter Domain.join domains;
       Array.to_list results
       |> List.mapi (fun i -> function
@@ -694,158 +710,103 @@ let map t f xs = Pool.map ~workers:t.pool_width f xs
 
 let caching t = t.cache.Cache.capacity > 0
 
-let size t ?label ~options tech netlist spec =
-  let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"size" ~options tech netlist spec with
-  | _, Some (Cache.Sized r, status) ->
-    let iterations, gp_newton =
-      match r with
-      | Ok o -> (o.Sizer.iterations, o.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s = 0.;
-           iterations;
-           gp_newton;
-           sta_verifies = 0;
-           cache = status;
-           ok = Result.is_ok r;
-         });
-    r
-  | key, _ ->
-    let t0 = Unix.gettimeofday () in
-    let r =
-      (* Fault site: lets tests crash a worker domain mid-batch or force
-         a failed result without touching the sizer. *)
-      match Smart_util.Fault.fire "engine.worker" with
-      | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-      | Some (Smart_util.Fault.Error_result msg) ->
-        Error (Err.Gp_failure msg)
-      | Some (Smart_util.Fault.Scale _) | None ->
-        Sizer.size_typed ~options tech netlist spec
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cache =
-      if caching t then begin
-        (* Only successful outcomes are memoized: a transient failure
-           cached here would replay as a Hit on every retry. *)
-        if Result.is_ok r then publish t key (Cache.Sized r);
-        Trace.Miss
-      end
-      else Trace.Bypass
-    in
-    let iterations, gp_newton =
-      match r with
-      | Ok o -> (o.Sizer.iterations, o.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s;
-           iterations;
-           gp_newton;
-           sta_verifies = 2 * iterations;
-           cache;
-           ok = Result.is_ok r;
-         });
-    r
-
-(* The engine's verify fan-out for robust sizing: each respecification
-   round's per-corner golden STA runs land on the worker pool. *)
-let pool_mapper t = { Sizer.map = (fun f xs -> Pool.map ~workers:t.pool_width f xs) }
-
-let size_robust t ?label ?(pooled_verify = true) ~options corners netlist spec =
-  let label =
-    let base = match label with Some l -> l | None -> netlist.Netlist.name in
-    Printf.sprintf "%s[%s]" base (Corners.to_string corners)
+(* The memo protocol every memoized entry follows: a memory-then-store
+   lookup under [tag]; a hit emits [span] with zero wall time and returns
+   the cached value; otherwise [run] computes it, an outcome passing
+   [keep] is published (a transient failure cached here would replay as a
+   hit on every retry), and [span] reports the run as a Miss — or a
+   Bypass when caching is off. *)
+let memoized t ~tag ?corners ~options tech netlist spec ~inj ~prj
+    ?(keep = fun _ -> true) ~span run =
+  let key, found = lookup t ~tag ?corners ~options tech netlist spec in
+  let hit =
+    Option.bind found (fun (v, status) ->
+        Option.map (fun r -> (r, status)) (prj v))
   in
-  let nominal_tech = (Corners.nominal corners).Corners.tech in
-  match lookup t ~tag:"robust" ~corners ~options nominal_tech netlist spec with
-  | _, Some (Cache.Robust r, status) ->
-    let iterations, gp_newton =
-      match r with
-      | Ok o ->
-        (o.Sizer.robust.Sizer.iterations,
-         o.Sizer.robust.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s = 0.;
-           iterations;
-           gp_newton;
-           sta_verifies = 0;
-           cache = status;
-           ok = Result.is_ok r;
-         });
+  match hit with
+  | Some (r, status) ->
+    emit t (span r ~wall_s:0. status);
     r
-  | key, _ ->
+  | None ->
     let t0 = Unix.gettimeofday () in
-    let mapper =
-      if pooled_verify && t.pool_width > 1 then pool_mapper t
-      else Sizer.sequential_mapper
-    in
-    let r =
-      match Smart_util.Fault.fire "engine.worker" with
-      | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-      | Some (Smart_util.Fault.Error_result msg) -> Error (Err.Gp_failure msg)
-      | Some (Smart_util.Fault.Scale _) | None ->
-        Sizer.size_robust_typed ~options ~mapper corners netlist spec
-    in
+    let r = run () in
     let wall_s = Unix.gettimeofday () -. t0 in
     let cache =
       if caching t then begin
-        if Result.is_ok r then publish t key (Cache.Robust r);
+        if keep r then publish t key (inj r);
         Trace.Miss
       end
       else Trace.Bypass
     in
-    let iterations, gp_newton =
-      match r with
-      | Ok o ->
-        (o.Sizer.robust.Sizer.iterations,
-         o.Sizer.robust.Sizer.gp_newton_iterations)
-      | Error _ -> (0, 0)
-    in
-    emit t
-      (Trace.Sizing
-         {
-           label;
-           wall_s;
-           iterations;
-           gp_newton;
-           sta_verifies = Corners.length corners * iterations;
-           cache;
-           ok = Result.is_ok r;
-         });
+    emit t (span r ~wall_s cache);
     r
+
+(* Fault site on the sizing entries: lets tests crash a worker domain
+   mid-batch or force a failed result without touching the sizer. *)
+let worker_fault run () =
+  match Smart_util.Fault.fire "engine.worker" with
+  | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
+  | Some (Smart_util.Fault.Error_result msg) -> Error (Err.Gp_failure msg)
+  | Some (Smart_util.Fault.Scale _) | None -> run ()
+
+(* A hit ran no golden timer; a run reports the STAs the sizer made. *)
+let sizing_span label r ~wall_s cache =
+  let iterations, gp_newton, sta_verifies =
+    match r with
+    | Ok (o : Sizer.outcome) ->
+      (o.Sizer.iterations, o.Sizer.gp_newton_iterations, o.Sizer.sta_verifies)
+    | Error _ -> (0, 0, 0)
+  in
+  let sta_verifies =
+    match cache with Trace.Hit | Trace.Disk -> 0 | _ -> sta_verifies
+  in
+  Trace.Sizing
+    {
+      label;
+      wall_s;
+      iterations;
+      gp_newton;
+      sta_verifies;
+      cache;
+      ok = Result.is_ok r;
+    }
+
+let label_of ?label (netlist : Netlist.t) =
+  match label with Some l -> l | None -> netlist.Netlist.name
+
+let size t ?label ~options tech netlist spec =
+  memoized t ~tag:"size" ~options tech netlist spec
+    ~inj:(fun r -> Cache.Sized r)
+    ~prj:(function Cache.Sized r -> Some r | _ -> None)
+    ~keep:Result.is_ok
+    ~span:(sizing_span (label_of ?label netlist))
+    (worker_fault (fun () -> Sizer.size_typed ~options tech netlist spec))
+
+(* Each respecification round's per-corner golden STA runs land on the
+   worker pool — inline when this sizing is itself an item of a pool
+   [map] (a batch), since the batch already occupies the workers. *)
+let size_robust t ?label ~options corners netlist spec =
+  let label =
+    Printf.sprintf "%s[%s]" (label_of ?label netlist) (Corners.to_string corners)
+  in
+  let mapper = { Sizer.map = (fun f xs -> map t f xs) } in
+  memoized t ~tag:"robust" ~corners ~options
+    (Corners.nominal corners).Corners.tech netlist spec
+    ~inj:(fun r -> Cache.Robust r)
+    ~prj:(function Cache.Robust r -> Some r | _ -> None)
+    ~keep:Result.is_ok
+    ~span:(fun r -> sizing_span label (Result.map (fun o -> o.Sizer.robust) r))
+    (worker_fault (fun () ->
+         Sizer.size_robust_typed ~options ~mapper corners netlist spec))
 
 let minimize_delay t ?label ~options tech netlist spec =
-  let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"min-delay" ~options tech netlist spec with
-  | _, Some (Cache.Min r, status) ->
-    emit t (Trace.Min_delay { label; wall_s = 0.; cache = status });
-    r
-  | key, _ ->
-    let t0 = Unix.gettimeofday () in
-    let r = Sizer.minimize_delay_typed ~options tech netlist spec in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cache =
-      if caching t then begin
-        if Result.is_ok r then publish t key (Cache.Min r);
-        Trace.Miss
-      end
-      else Trace.Bypass
-    in
-    emit t (Trace.Min_delay { label; wall_s; cache });
-    r
+  let label = label_of ?label netlist in
+  memoized t ~tag:"min-delay" ~options tech netlist spec
+    ~inj:(fun r -> Cache.Min r)
+    ~prj:(function Cache.Min r -> Some r | _ -> None)
+    ~keep:Result.is_ok
+    ~span:(fun _ ~wall_s cache -> Trace.Min_delay { label; wall_s; cache })
+    (fun () -> Sizer.minimize_delay_typed ~options tech netlist spec)
 
 (* Pure static analysis — no GP solve, no STA.  Cached under its own tag
    because the result depends on exactly the same structural identity as
@@ -853,50 +814,40 @@ let minimize_delay t ?label ~options tech netlist spec =
    product.  The cache entry carries plain data only, so unlike solver
    outcomes it also survives across binaries. *)
 let analyze t ?label ~options tech netlist spec =
-  let label = match label with Some l -> l | None -> netlist.Netlist.name in
-  match lookup t ~tag:"absint" ~options tech netlist spec with
-  | _, Some (Cache.Analysis a, status) ->
-    emit t (Trace.Analysis { label; wall_s = 0.; cache = status });
-    a
-  | key, _ ->
-    let t0 = Unix.gettimeofday () in
-    let generated =
-      Constraints.generate ~reductions:options.Sizer.reductions
-        ~objective:options.Sizer.objective tech netlist spec
-    in
-    let area =
-      Absint.analyze
-        ~options:(Absint.sizer_options ~robust:false)
-        generated.Constraints.problem
-    in
-    (* The delay floor comes from the min-delay formulation: the makespan
-       variable's narrowed lower bound is a bound no solver run (and no
-       respecification loop) can beat.  Fixed-budget classification — the
-       min-delay program is solved exactly as generated. *)
-    let min_delay =
-      Constraints.generate_min_delay ~reductions:options.Sizer.reductions tech
-        netlist spec
-    in
-    let md_analysis =
-      Absint.analyze ~options:Absint.default_options
-        min_delay.Constraints.problem
-    in
-    let delay_lo_ps =
-      match Absint.var_interval md_analysis Constraints.delay_variable with
-      | Some iv -> Absint.Interval.lo_linear iv
-      | None -> 0.
-    in
-    let a = { area_summary = Absint.summarize area; delay_lo_ps } in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let cache =
-      if caching t then begin
-        publish t key (Cache.Analysis a);
-        Trace.Miss
-      end
-      else Trace.Bypass
-    in
-    emit t (Trace.Analysis { label; wall_s; cache });
-    a
+  let label = label_of ?label netlist in
+  memoized t ~tag:"absint" ~options tech netlist spec
+    ~inj:(fun a -> Cache.Analysis a)
+    ~prj:(function Cache.Analysis a -> Some a | _ -> None)
+    ~span:(fun _ ~wall_s cache -> Trace.Analysis { label; wall_s; cache })
+    (fun () ->
+      let generated =
+        Constraints.generate ~reductions:options.Sizer.reductions
+          ~objective:options.Sizer.objective tech netlist spec
+      in
+      let area =
+        Absint.analyze
+          ~options:(Absint.sizer_options ~robust:false)
+          generated.Constraints.problem
+      in
+      (* The delay floor comes from the min-delay formulation: the
+         makespan variable's narrowed lower bound is a bound no solver run
+         (and no respecification loop) can beat.  Fixed-budget
+         classification — the min-delay program is solved exactly as
+         generated. *)
+      let min_delay =
+        Constraints.generate_min_delay ~reductions:options.Sizer.reductions
+          tech netlist spec
+      in
+      let md_analysis =
+        Absint.analyze ~options:Absint.default_options
+          min_delay.Constraints.problem
+      in
+      let delay_lo_ps =
+        match Absint.var_interval md_analysis Constraints.delay_variable with
+        | Some iv -> Absint.Interval.lo_linear iv
+        | None -> 0.
+      in
+      { area_summary = Absint.summarize area; delay_lo_ps })
 
 (* Lint every candidate, then — unless a Strict gate already fails the
    request — certify the menu infeasible when every candidate's program
@@ -968,28 +919,22 @@ let prelude t ~lint ?corners ~options tech spec netlists =
       p
   end
 
-let size_all t ~options tech spec named =
-  let indexed = List.mapi (fun i nv -> (i, nv)) named in
+(* One sizing per named candidate across the pool.  A worker that raises
+   degrades to a structured error in its slot instead of killing the
+   whole batch. *)
+let batch t size_one named =
   map t
     (fun (i, (name, nl)) ->
-      (* Degrade per item: a worker that raises turns into a structured
-         error in its slot instead of killing the whole batch. *)
       ( name,
-        try size t ~label:name ~options tech nl spec
+        try size_one name nl
         with Err.Smart_error msg ->
           Error (Err.Worker_crash { item = i; detail = msg }) ))
-    indexed
+    (List.mapi (fun i nv -> (i, nv)) named)
+
+let size_all t ~options tech spec named =
+  batch t (fun name nl -> size t ~label:name ~options tech nl spec) named
 
 let size_robust_all t ~options corners spec named =
-  let indexed = List.mapi (fun i nv -> (i, nv)) named in
-  map t
-    (fun (i, (name, nl)) ->
-      (* Candidates already saturate the pool; the per-candidate corner
-         verifies stay sequential to avoid nested domain spawns. *)
-      ( name,
-        try
-          size_robust t ~label:name ~pooled_verify:false ~options corners nl
-            spec
-        with Err.Smart_error msg ->
-          Error (Err.Worker_crash { item = i; detail = msg }) ))
-    indexed
+  batch t
+    (fun name nl -> size_robust t ~label:name ~options corners nl spec)
+    named

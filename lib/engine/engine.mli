@@ -13,7 +13,10 @@
     engaged when more than one worker is configured {e and} the runtime
     recommends more than one domain; otherwise evaluation falls back to a
     deterministic sequential loop.  Both paths preserve input order, so
-    rankings are identical regardless of worker count.
+    rankings are identical regardless of worker count.  A {!map} entered
+    from inside another {!map}'s items (a batch of robust sizings, each
+    fanning out its corner verifies) runs inline on that item's domain:
+    the outer map already occupies the workers.
 
     {b Caching.}  Outcomes are memoized under a digest of (netlist
     structure, size-label set, spec, tech, sizer options) — the netlist
@@ -48,7 +51,9 @@ module Trace : sig
         wall_s : float;
         iterations : int;  (** outer respecification iterations *)
         gp_newton : int;  (** cumulative inner Newton steps *)
-        sta_verifies : int;  (** golden-timer runs (2 per iteration) *)
+        sta_verifies : int;
+            (** golden-timer runs the sizer made
+                ({!Sizer.outcome.sta_verifies}); [0] on a hit *)
         cache : cache_status;
         ok : bool;
       }  (** one per candidate sizing routed through an engine *)
@@ -206,7 +211,9 @@ val prefetch :
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving map over the engine's worker pool.  Falls back to
-    [List.map] when the pool width is 1.  If [f] raises, remaining items
+    [List.map] when the pool width is 1, and when called from an item of
+    an enclosing [map] (of any engine) — nested maps run on the calling
+    item's domain instead of spawning more.  If [f] raises, remaining items
     still run and the first exception (in input order) is re-raised with
     the worker domain's backtrace; {!Smart_util.Err.Smart_error}
     messages are prefixed with the failing item's index. *)
@@ -224,16 +231,16 @@ val size :
 val size_robust :
   t ->
   ?label:string ->
-  ?pooled_verify:bool ->
   options:Sizer.options ->
   Corners.set ->
   Netlist.t ->
   Constraints.spec ->
   (Sizer.robust_outcome, Err.t) result
 (** Memoized {!Sizer.size_robust_typed}.  The per-round per-corner golden
-    STA verifies are fanned across this engine's worker pool unless
-    [pooled_verify] is [false] (set by {!size_robust_all}, whose
-    candidates already saturate the pool).  Cache keys digest the full
+    STA verifies are fanned across this engine's worker pool through
+    {!map} — so they run inline when this sizing is itself an item of a
+    batch ({!size_robust_all}), whose candidates already occupy the
+    pool.  Cache keys digest the full
     corner list — names, cumulative [rc_scale] and each corner's scaled
     technology — alongside the structural solve identity, so a typ-only
     entry never serves a multi-corner request (or vice versa).  Emits one
@@ -333,5 +340,5 @@ val size_robust_all :
   (string * (Sizer.robust_outcome, Err.t) result) list
 (** {!size_all}'s robust counterpart: every named candidate jointly sized
     over the corner set across the pool (per-candidate corner verifies
-    sequential — the batch already saturates the workers).  Same ordering
+    inline — the batch already occupies the workers).  Same ordering
     and per-item degradation guarantees. *)

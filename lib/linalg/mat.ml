@@ -135,14 +135,17 @@ let cholesky m =
     Some l
   end
 
+(* The substitutions index [data] directly: [get] returns a boxed float
+   per call, which would cost every Newton solve O(n^2) words. *)
 let forward_subst_into l b y =
   let n = Vec.dim b in
+  let d = l.data and c = l.cols in
   for i = 0 to n - 1 do
     let sum = ref b.(i) in
     for k = 0 to i - 1 do
-      sum := !sum -. (get l i k *. y.(k))
+      sum := !sum -. (d.((i * c) + k) *. y.(k))
     done;
-    y.(i) <- !sum /. get l i i
+    y.(i) <- !sum /. d.((i * c) + i)
   done
 
 let forward_subst l b =
@@ -153,12 +156,13 @@ let forward_subst l b =
 let backward_subst_t_into l y x =
   (* Solves L^T x = y given lower-triangular L. *)
   let n = Vec.dim y in
+  let d = l.data and c = l.cols in
   for i = n - 1 downto 0 do
     let sum = ref y.(i) in
     for k = i + 1 to n - 1 do
-      sum := !sum -. (get l k i *. x.(k))
+      sum := !sum -. (d.((k * c) + i) *. x.(k))
     done;
-    x.(i) <- !sum /. get l i i
+    x.(i) <- !sum /. d.((i * c) + i)
   done
 
 let backward_subst_t l y =
@@ -187,15 +191,16 @@ let solve_spd_ridge_into ?hint ~work ~tmp a b x =
      so the relative cap always terminates on finite input. *)
   let scale = ref 0. in
   for i = 0 to n - 1 do
-    let d = abs_float (get a i i) in
+    let d = abs_float a.data.((i * n) + i) in
     if d > !scale then scale := d
   done;
   let scale = Float.max !scale 1. in
+  let w = work.data in
   let rec attempt ridge =
-    Array.blit a.data 0 work.data 0 (Array.length a.data);
+    Array.blit a.data 0 w 0 (Array.length a.data);
     if ridge > 0. then
       for i = 0 to n - 1 do
-        add_to work i i ridge
+        w.((i * n) + i) <- w.((i * n) + i) +. ridge
       done;
     if cholesky_inplace work then begin
       (match hint with Some h -> h := ridge | None -> ());

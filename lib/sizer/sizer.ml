@@ -85,6 +85,7 @@ type outcome = {
   gp_newton_per_round : int list;
   gp_families : int;
   certified_rounds : int;
+  sta_verifies : int;
   converged : bool;
   constraint_stats : Constraints.result;
   sta : Sta.t;
@@ -104,17 +105,71 @@ let fn_of_sizing sizing =
     | Some w -> w
     | None -> Smart_util.Err.fail "Sizer: no width for label %s" l
 
+(* ------------------------------------------------------------------ *)
+(* Machinery shared by the two respecification loops                   *)
+(* ------------------------------------------------------------------ *)
+
+let precharge_budget (spec : Constraints.spec) =
+  match spec.Constraints.precharge_budget with
+  | Some b -> b
+  | None -> spec.Constraints.target_delay
+
+(* One round's GP resolve behind the "sizer.gp" fault site, which lets
+   tests force a GP failure (or a worker-domain exception) out of an
+   otherwise healthy solve. *)
+let resolve_round ~options ?warm prepared =
+  match Smart_util.Fault.fire "sizer.gp" with
+  | Some (Smart_util.Fault.Error_result msg) -> Error msg
+  | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
+  | Some (Smart_util.Fault.Scale _) | None ->
+    Solver.resolve ~options:options.gp_options ?warm prepared
+
+(* The golden check of one sizing at one technology: evaluate- and
+   precharge-mode STA ([golden_runs] timer runs).  A precharge STA that
+   reached no output folds its max from 0, which would trivially "meet"
+   any budget; when the program carries precharge constraints
+   ([has_pre]) that reads as an unmeetable (infinite) precharge delay. *)
+let golden ~has_pre tech netlist (spec : Constraints.spec) sizing_fn =
+  let analyze mode =
+    Sta.analyze ~mode ?input_slope:spec.Constraints.input_slope tech netlist
+      ~sizing:sizing_fn
+  in
+  let eval = analyze Sta.Evaluate in
+  let pre = analyze Sta.Precharge in
+  ( eval,
+    if has_pre && pre.Sta.reachable_outputs = 0 then infinity
+    else pre.Sta.max_delay )
+
+let golden_runs = 2
+
+(* Retarget a model-space budget by a golden miss, each move bounded to
+   avoid oscillation. *)
+let retarget ~damping factor miss =
+  let adj = (1. /. miss) ** damping in
+  let adj = Float.max 0.5 (Float.min 2.0 adj) in
+  factor *. adj
+
+(* A loop's answer: the error that aborted it, else the cheapest
+   golden-verified round restamped by [final] with whole-loop counters,
+   else the golden timer never confirmed the spec. *)
+let conclude ~(spec : Constraints.spec) ~iterations result best final =
+  match result with
+  | Some r -> r
+  | None -> (
+    match best with
+    | Some b -> Ok (final b)
+    | None ->
+      Error
+        (Err.Sta_disagreement
+           { target_ps = spec.Constraints.target_delay; iterations }))
+
 (* The respecification loop proper; [gp_problem] is [generated]'s program
    after the absint gate (and possibly presolve reduction) — same variable
    set and constraint names, so rescale-by-name and warm starts are
    unaffected. *)
 let size_typed_loop ~options tech netlist spec
     (generated : Constraints.result) gp_problem =
-  let precharge_budget =
-    match spec.Constraints.precharge_budget with
-    | Some b -> b
-    | None -> spec.Constraints.target_delay
-  in
+  let precharge_budget = precharge_budget spec in
   let tol = options.tolerance in
   let has_pre = generated.Constraints.precharge_constraints > 0 in
   let meets o =
@@ -157,6 +212,7 @@ let size_typed_loop ~options tech netlist spec
   let warm_rounds = ref 0 in
   let newton_per_round = ref [] in
   let certified = ref 0 in
+  let stas = ref 0 in
   let remember sol =
     newton_per_round := sol.Solver.newton_iterations :: !newton_per_round;
     if sol.Solver.warm_started then incr warm_rounds;
@@ -202,16 +258,7 @@ let size_typed_loop ~options tech netlist spec
        Solver.rescale_compiled prepared
          (Constraints.rescale_factors ~timing:!timing_factor
             ~precharge:!precharge_factor);
-       let resolved =
-         (* Fault site: lets tests force a GP failure (or a worker-domain
-            exception) out of an otherwise healthy solve. *)
-         match Smart_util.Fault.fire "sizer.gp" with
-         | Some (Smart_util.Fault.Error_result msg) -> Error msg
-         | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-         | Some (Smart_util.Fault.Scale _) | None ->
-           Solver.resolve ~options:options.gp_options ?warm:!warm prepared
-       in
-       match resolved with
+       match resolve_round ~options ?warm:!warm prepared with
        | Error e ->
          result := Some (Error (Err.Gp_failure e));
          raise Exit
@@ -258,25 +305,11 @@ let size_typed_loop ~options tech netlist spec
          | Solver.Optimal | Solver.Iteration_limit ->
            let sizing = sizing_of_solution netlist sol in
            let sizing_fn = fn_of_sizing sizing in
-           let eval_sta =
-             Sta.analyze ~mode:Sta.Evaluate
-               ?input_slope:spec.Constraints.input_slope tech netlist
-               ~sizing:sizing_fn
+           let eval_sta, achieved_precharge =
+             golden ~has_pre tech netlist spec sizing_fn
            in
-           let pre_sta =
-             Sta.analyze ~mode:Sta.Precharge
-               ?input_slope:spec.Constraints.input_slope tech netlist
-               ~sizing:sizing_fn
-           in
+           stas := !stas + golden_runs;
            total_newton := !total_newton + sol.Solver.newton_iterations;
-           (* A precharge STA that reached no output folds its max from 0,
-              which would trivially "meet" any budget.  When the program
-              carries precharge constraints, report the distinction as an
-              unmeetable (infinite) precharge delay instead of a met one. *)
-           let achieved_precharge =
-             if has_pre && pre_sta.Sta.reachable_outputs = 0 then infinity
-             else pre_sta.Sta.max_delay
-           in
            let outcome =
              {
                sizing;
@@ -292,6 +325,7 @@ let size_typed_loop ~options tech netlist spec
                gp_newton_per_round = List.rev !newton_per_round;
                gp_families;
                certified_rounds = !certified;
+               sta_verifies = !stas;
                converged = true;
                constraint_stats = generated;
                sta = eval_sta;
@@ -313,7 +347,7 @@ let size_typed_loop ~options tech netlist spec
            Log.debug (fun m ->
                m "iteration %d: delay %.1f/%.1f ps (x%.3f), precharge %.1f/%.1f"
                  iter eval_sta.Sta.max_delay spec.Constraints.target_delay
-                 !timing_factor pre_sta.Sta.max_delay precharge_budget);
+                 !timing_factor achieved_precharge precharge_budget);
            (* Converged: golden sits at the spec and the best width has
               stopped improving. *)
            if
@@ -321,38 +355,22 @@ let size_typed_loop ~options tech netlist spec
              && (miss_p >= 1. -. (3. *. tol) || not has_pre)
              && (not (meets outcome && improved))
            then raise Exit;
-           let retarget factor miss =
-             let adj = (1. /. miss) ** options.damping in
-             (* Bound each move to avoid oscillation. *)
-             let adj = Float.max 0.5 (Float.min 2.0 adj) in
-             factor *. adj
-           in
+           let retarget = retarget ~damping:options.damping in
            if miss_t > 1. +. tol || miss_t < 1. -. tol then
              timing_factor := retarget !timing_factor miss_t;
            if has_pre && (miss_p > 1. +. tol || miss_p < 1. -. tol) then
              precharge_factor := retarget !precharge_factor miss_p)
      done
    with Exit -> ());
-  match !result with
-  | Some r -> r
-  | None -> (
-    match !best with
-    | Some outcome ->
-      Ok
-        {
-          outcome with
-          iterations = !iterations;
-          gp_warm_rounds = !warm_rounds;
-          gp_newton_per_round = List.rev !newton_per_round;
-          certified_rounds = !certified;
-        }
-    | None ->
-      Error
-        (Err.Sta_disagreement
-           {
-             target_ps = spec.Constraints.target_delay;
-             iterations = !iterations;
-           }))
+  conclude ~spec ~iterations:!iterations !result !best (fun outcome ->
+      {
+        outcome with
+        iterations = !iterations;
+        gp_warm_rounds = !warm_rounds;
+        gp_newton_per_round = List.rev !newton_per_round;
+        certified_rounds = !certified;
+        sta_verifies = !stas;
+      })
 
 let size_typed_impl ?(options = default_options) tech netlist spec =
   let generated =
@@ -386,7 +404,7 @@ let size_typed ?options tech netlist spec =
             Tracepoint.Str
               (String.concat ","
                  (List.map string_of_int o.gp_newton_per_round)) );
-          ("sta_verifies", Tracepoint.Int (2 * o.iterations));
+          ("sta_verifies", Tracepoint.Int o.sta_verifies);
           ("gp_families", Tracepoint.Int o.gp_families);
           ("achieved_ps", Tracepoint.Float o.achieved_delay);
         ]
@@ -492,11 +510,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
   with
   | Error e -> Error e
   | Ok gp_problem ->
-  let precharge_budget =
-    match spec.Constraints.precharge_budget with
-    | Some b -> b
-    | None -> spec.Constraints.target_delay
-  in
+  let precharge_budget = precharge_budget spec in
   let tol = options.tolerance in
   let has_pre = generated.Constraints.precharge_constraints > 0 in
   (* Per-corner model-space budgets: each corner's respecification knob is
@@ -537,6 +551,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
   let warm = ref None in
   let warm_rounds = ref 0 in
   let newton_per_round = ref [] in
+  let stas = ref 0 in
   (* Re-anchor on every round's mid-path snapshot: the corner budgets
      drift a little between rounds, and a warm start from the latest
      snapshot (taken at the nearest budget state) re-centres in a
@@ -552,22 +567,11 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
   (* Golden verification at every corner; the engine supplies a mapper
      that fans these across its worker pool. *)
   let verify sizing_fn =
+    stas := !stas + (golden_runs * n);
     mapper.map
       (fun (i, (c : Corners.corner)) ->
-        let tech = c.Corners.tech in
-        let eval =
-          Sta.analyze ~mode:Sta.Evaluate
-            ?input_slope:spec.Constraints.input_slope tech netlist
-            ~sizing:sizing_fn
-        in
-        let pre =
-          Sta.analyze ~mode:Sta.Precharge
-            ?input_slope:spec.Constraints.input_slope tech netlist
-            ~sizing:sizing_fn
-        in
-        let achieved_pre =
-          if has_pre && pre.Sta.reachable_outputs = 0 then infinity
-          else pre.Sta.max_delay
+        let eval, achieved_pre =
+          golden ~has_pre c.Corners.tech netlist spec sizing_fn
         in
         (i, c, eval, achieved_pre))
       indexed
@@ -637,14 +641,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
        iterations := iter;
        Solver.rescale_compiled prepared
          (Corners.rescale_factors ~timing ~precharge:pre_f);
-       let resolved =
-         match Smart_util.Fault.fire "sizer.gp" with
-         | Some (Smart_util.Fault.Error_result msg) -> Error msg
-         | Some (Smart_util.Fault.Raise msg) -> raise (Err.Smart_error msg)
-         | Some (Smart_util.Fault.Scale _) | None ->
-           Solver.resolve ~options:options.gp_options ?warm:!warm prepared
-       in
-       match resolved with
+       match resolve_round ~options ?warm:!warm prepared with
        | Error e ->
          result := Some (Error (Err.Gp_failure e));
          raise Exit
@@ -722,6 +719,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
                gp_newton_per_round = List.rev !newton_per_round;
                gp_families;
                certified_rounds = 0;
+               sta_verifies = !stas;
                converged = true;
                constraint_stats = generated;
                sta = bind_eval;
@@ -768,11 +766,7 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
               round) keeps deforming the merged GP for nothing — the
               warm restart then pays a near-cold re-centering every
               round. *)
-           let retarget factor miss =
-             let adj = (1. /. miss) ** options.damping in
-             let adj = Float.max 0.5 (Float.min 2.0 adj) in
-             factor *. adj
-           in
+           let retarget = retarget ~damping:options.damping in
            let env =
              let tbl = Hashtbl.create 256 in
              List.iter
@@ -815,29 +809,18 @@ let size_robust_impl ?(options = default_options) ?(mapper = sequential_mapper)
            if not !moved then raise Exit)
      done
    with Exit -> ());
-  match !result with
-  | Some r -> r
-  | None -> (
-    match !best with
-    | Some r ->
-      Ok
-        {
-          r with
-          robust =
-            {
-              r.robust with
-              iterations = !iterations;
-              gp_warm_rounds = !warm_rounds;
-              gp_newton_per_round = List.rev !newton_per_round;
-            };
-        }
-    | None ->
-      Error
-        (Err.Sta_disagreement
-           {
-             target_ps = spec.Constraints.target_delay;
-             iterations = !iterations;
-           }))
+  conclude ~spec ~iterations:!iterations !result !best (fun r ->
+      {
+        r with
+        robust =
+          {
+            r.robust with
+            iterations = !iterations;
+            gp_warm_rounds = !warm_rounds;
+            gp_newton_per_round = List.rev !newton_per_round;
+            sta_verifies = !stas;
+          };
+      })
 
 let size_robust_typed ?options ?mapper corners netlist spec =
   Tracepoint.timed "sizer.size_robust"

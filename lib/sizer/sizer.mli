@@ -30,11 +30,9 @@ type options = {
           incremental hot path (default true).  Disable to force a cold
           compile-and-phase-I solve every round, e.g. for A/B timing. *)
   gp_structure : bool;
-      (** let the GP compile exploit merged multi-corner structure:
-          scenario copies of a constraint are bundled into families that
-          share one exp pass per Newton assembly, and scenario-private
-          variables (when present) route the Newton solve through the
-          arrow-head Schur path (default true).  Disable for a dense
+      (** let the GP compile bundle merged multi-corner structure:
+          scenario copies of a constraint become families that share one
+          exp pass per Newton assembly (default true).  Disable for the
           per-constraint reference solve, e.g. for A/B comparisons. *)
   certify : bool;
       (** validate every [Optimal] resolve with the independent
@@ -85,6 +83,11 @@ type outcome = {
   certified_rounds : int;
       (** rounds whose solution passed the independent GP certificate
           check (0 unless {!options.certify}) *)
+  sta_verifies : int;
+      (** golden-timer runs this sizing made: an evaluate and a
+          precharge STA per verified round — per corner for robust
+          sizings, which add one calibration sweep over the corners when
+          the min-delay pre-solve ran *)
   converged : bool;
   constraint_stats : Smart_constraints.Constraints.result;
       (** the generated program (counts, area posynomial) *)

@@ -48,6 +48,46 @@ let test_parallel_matches_sequential () =
       | _ -> Alcotest.failf "%s: sequential and parallel disagree on success" kind)
     [ ("mux", 4, 150.); ("adder", 4, 400.) ]
 
+(* A map nested inside a map item runs inline on that item's domain —
+   candidates x corner verifies never spawn domains inside domains — and
+   the guard is scoped: once the outer map returns, a top-level map fans
+   out again. *)
+let test_nested_map_runs_inline () =
+  let e = Engine.create ~workers:2 ~cache_capacity:0 () in
+  (* The inner items linger, so a spawned domain would claim some. *)
+  let inner_on_item_domain () =
+    let me = Domain.self () in
+    List.for_all (fun d -> d = me)
+      (Engine.map e
+         (fun _ ->
+           Unix.sleepf 0.01;
+           Domain.self ())
+         [ 1; 2; 3; 4 ])
+  in
+  checkb "nested map stays on the item's domain" true
+    (List.for_all Fun.id
+       (Engine.map e (fun _ -> inner_on_item_domain ()) [ 1; 2; 3; 4 ]));
+  let single = Engine.create ~workers:1 ~cache_capacity:0 () in
+  checkb "nested inside a single-worker map too" true
+    (List.for_all Fun.id
+       (Engine.map single (fun _ -> inner_on_item_domain ()) [ 1; 2 ]));
+  (* Two items that wait for each other: only a second domain lets both
+     see the other arrive. *)
+  let arrived = Atomic.make 0 in
+  let met =
+    Engine.map e
+      (fun _ ->
+        Atomic.incr arrived;
+        let deadline = Unix.gettimeofday () +. 10. in
+        while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get arrived >= 2)
+      [ 1; 2 ]
+  in
+  checkb "top-level map fans out after a nested one" true
+    (List.for_all Fun.id met)
+
 (* (b) A cache hit must return a bit-identical outcome to the cold solve. *)
 let test_cache_hit_bit_identical () =
   let e = Engine.create ~workers:1 ~cache_capacity:16 () in
@@ -176,6 +216,52 @@ let test_trace_hier_spans_per_candidate () =
          (fun l ->
            List.exists (fun (n, _) -> prefixed ("hier:" ^ n ^ "/") l) variants)
          labels)
+
+(* A cold sizing's span reports the golden-timer runs that actually
+   happened: the global tracepoint stream sees one [Sta_verify] per STA,
+   including the robust loop's per-corner verifies and its calibration
+   sweep. *)
+let test_sizing_span_counts_sta_runs () =
+  let sink, drain = Engine.Trace.memory () in
+  Engine.Trace.install_global sink;
+  Fun.protect ~finally:Engine.Trace.uninstall_global (fun () ->
+      let e = Engine.create ~workers:1 ~cache_capacity:16 ~sink () in
+      let nl = (Mux.generate Mux.Strongly_mutexed ~n:4).Macro.netlist in
+      let options = Sizer.default_options in
+      let corners =
+        match Smart_corners.Corners.of_string "fast,typ,slow" with
+        | Ok set -> set
+        | Error msg -> Alcotest.fail msg
+      in
+      let check name run =
+        let seen = List.length (drain ()) in
+        checkb (name ^ " sized") true (run ());
+        let events = List.filteri (fun i _ -> i >= seen) (drain ()) in
+        let stas =
+          List.length
+            (List.filter
+               (function Engine.Trace.Sta_verify _ -> true | _ -> false)
+               events)
+        in
+        match
+          List.filter_map
+            (function
+              | Engine.Trace.Sizing { cache; sta_verifies; _ } ->
+                Some (cache, sta_verifies)
+              | _ -> None)
+            events
+        with
+        | [ (cache, sta_verifies) ] ->
+          checkb (name ^ " is a miss") true (cache = Engine.Trace.Miss);
+          checkb (name ^ " ran the timer") true (stas > 0);
+          checki (name ^ " sta_verifies = STA runs") stas sta_verifies
+        | spans -> Alcotest.failf "%s: %d sizing spans" name (List.length spans)
+      in
+      check "typ" (fun () ->
+          Result.is_ok (Engine.size e ~options tech nl (C.spec 150.)));
+      check "fast,typ,slow" (fun () ->
+          Result.is_ok
+            (Engine.size_robust e ~options corners nl (C.spec 200.))))
 
 (* (e) Trace sinks under many domains.  [memory] used to lose events to
    the non-atomic [events := e :: !events] read-modify-write; the stress
@@ -436,6 +522,8 @@ let () =
         [
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_matches_sequential;
+          Alcotest.test_case "nested map runs inline" `Quick
+            test_nested_map_runs_inline;
         ] );
       ( "cache",
         [
@@ -457,6 +545,8 @@ let () =
             test_trace_one_span_per_candidate;
           Alcotest.test_case "hier spans per candidate" `Quick
             test_trace_hier_spans_per_candidate;
+          Alcotest.test_case "sizing span counts STA runs" `Quick
+            test_sizing_span_counts_sta_runs;
           Alcotest.test_case "memory sink loses nothing" `Quick
             test_memory_sink_no_lost_events;
           Alcotest.test_case "json_lines stays well-formed" `Quick
