@@ -1,4 +1,5 @@
 module Err = Smart_util.Err
+module Tracepoint = Smart_util.Tracepoint
 module Netlist = Smart_circuit.Netlist
 module Cell = Smart_circuit.Cell
 module Family = Smart_circuit.Family
@@ -178,8 +179,13 @@ let sense_chains (netlist : Netlist.t) (p : Paths.path) =
 
 let delay_variable = "delay$"
 
-let generate_internal ?rc_scales ~reductions ~budget ~objective_override
-    ~objective tech netlist spec =
+(* What one generation call did, beyond its result: the path steps it
+   visited (one per step of every sense chain), the distinct stage delays
+   it actually computed, and the timing constraints before pruning. *)
+type work = { steps : int; stage_delays : int; timing_generated : int }
+
+let build ?rc_scales ~reductions ~budget ~objective_override ~objective tech
+    netlist spec =
   let classes = Paths.classes ~reductions netlist in
   let paths, _stats = Paths.extract ~reductions netlist in
   let loads = Load.make tech netlist in
@@ -259,16 +265,33 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
         Hashtbl.replace slope_memo cls p;
         p)
   in
-  let step_delay (step : Paths.step) ~in_sense ~out_sense =
-    ignore in_sense;
+  (* A stage's delay depends only on (instance, pin, output sense): its
+     load is memoized per net and its input slope per class, and the
+     input sense does not enter the model.  Paths share most of their
+     stages, so the delay is computed once per distinct stage of this
+     call rather than once per path step. *)
+  let stage_memo : (int * string * Arc.sense, Posy.t) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let steps = ref 0 in
+  let step_delay (step : Paths.step) ~out_sense =
+    incr steps;
     let i = step.Paths.s_inst in
-    let in_slope =
-      if step.Paths.s_pin = "clk" then Posy.const (input_slope /. 2.)
-      else slope_expr (List.assoc step.Paths.s_pin i.Netlist.conns)
-    in
-    Delay.stage_delay tech i.Netlist.cell ~pin:step.Paths.s_pin ~out_sense
-      ~load:(Load.symbolic loads i.Netlist.out)
-      ~in_slope
+    let key = (i.Netlist.inst_id, step.Paths.s_pin, out_sense) in
+    match Hashtbl.find_opt stage_memo key with
+    | Some d -> d
+    | None ->
+      let in_slope =
+        if step.Paths.s_pin = "clk" then Posy.const (input_slope /. 2.)
+        else slope_expr (List.assoc step.Paths.s_pin i.Netlist.conns)
+      in
+      let d =
+        Delay.stage_delay tech i.Netlist.cell ~pin:step.Paths.s_pin ~out_sense
+          ~load:(Load.symbolic loads i.Netlist.out)
+          ~in_slope
+      in
+      Hashtbl.replace stage_memo key d;
+      d
   in
   (* A path (or path-prefix) budget: the full evaluate budget times [mult].
      In min-delay mode the budget is the makespan variable itself. *)
@@ -290,7 +313,7 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
         (fun ci chain ->
           let delays =
             List.map2
-              (fun step (in_sense, out_sense) -> step_delay step ~in_sense ~out_sense)
+              (fun step (_, out_sense) -> step_delay step ~out_sense)
               p.Paths.steps chain
           in
           let total = Posy.sum delays in
@@ -436,16 +459,40 @@ let generate_internal ?rc_scales ~reductions ~budget ~objective_override
       ~bounds:(label_bounds @ slope_bounds @ extra_bounds)
       obj
   in
-  {
-    problem;
-    area = area_posy netlist;
-    path_count = List.length paths;
-    timing_constraints = List.length timing_kept;
-    slope_constraints = List.length slope_kept;
-    precharge_constraints = List.length precharge_kept;
-    stage_constraints = List.length stage_kept;
-    dominated_pruned = dropped_t + dropped_s + dropped_sl + dropped_p;
-  }
+  ( {
+      problem;
+      area = area_posy netlist;
+      path_count = List.length paths;
+      timing_constraints = List.length timing_kept;
+      slope_constraints = List.length slope_kept;
+      precharge_constraints = List.length precharge_kept;
+      stage_constraints = List.length stage_kept;
+      dominated_pruned = dropped_t + dropped_s + dropped_sl + dropped_p;
+    },
+    {
+      steps = !steps;
+      stage_delays = Hashtbl.length stage_memo;
+      timing_generated = !n_timing;
+    } )
+
+let generate_internal ?rc_scales ~reductions ~budget ~objective_override
+    ~objective tech netlist spec =
+  let attrs (r, w) =
+    [
+      ("netlist", Tracepoint.Str netlist.Netlist.name);
+      ("min_delay", Tracepoint.Bool (budget = `Var));
+      ("paths", Tracepoint.Int r.path_count);
+      ("timing", Tracepoint.Int w.timing_generated);
+      ("inequalities", Tracepoint.Int (List.length r.problem.Problem.inequalities));
+      ("pruned", Tracepoint.Int r.dominated_pruned);
+      ("steps", Tracepoint.Int w.steps);
+      ("stage_delays", Tracepoint.Int w.stage_delays);
+    ]
+  in
+  fst
+    (Tracepoint.timed "constraints.generate" ~attrs (fun () ->
+         build ?rc_scales ~reductions ~budget ~objective_override ~objective
+           tech netlist spec))
 
 let generate ?rc_scales ?(reductions = Paths.all_reductions) ?(objective = Area)
     tech netlist spec =

@@ -84,7 +84,14 @@ val generate :
     [sqrt] of the {!Smart_tech.Tech.rc_ratio}): dominance pruning then
     only drops a constraint redundant at {e every} scale, so one
     generation pass followed by {!project} per corner yields exactly the
-    per-corner programs — without repeating the pipeline per corner. *)
+    per-corner programs — without repeating the pipeline per corner.
+
+    Each call emits one ["constraints.generate"]
+    {!Smart_util.Tracepoint} span (also {!generate_min_delay}, with
+    [min_delay] true) carrying [paths], [timing] (timing constraints
+    before pruning), [inequalities] (kept), [pruned], [steps] (path steps
+    walked, one per step of every sense chain) and [stage_delays]
+    (distinct stage delays computed: each is computed once per call). *)
 
 val project : scale:float -> result -> result option
 (** Re-anchor a generated program at corner scale [scale] (relative to

@@ -715,7 +715,7 @@ let caching t = t.cache.Cache.capacity > 0
    the cached value; otherwise [run] computes it, an outcome passing
    [keep] is published (a transient failure cached here would replay as a
    hit on every retry), and [span] reports the run as a Miss — or a
-   Bypass when caching is off. *)
+   Bypass when caching is off.  Returns the value with that status. *)
 let memoized t ~tag ?corners ~options tech netlist spec ~inj ~prj
     ?(keep = fun _ -> true) ~span run =
   let key, found = lookup t ~tag ?corners ~options tech netlist spec in
@@ -726,7 +726,7 @@ let memoized t ~tag ?corners ~options tech netlist spec ~inj ~prj
   match hit with
   | Some (r, status) ->
     emit t (span r ~wall_s:0. status);
-    r
+    (r, status)
   | None ->
     let t0 = Unix.gettimeofday () in
     let r = run () in
@@ -739,7 +739,7 @@ let memoized t ~tag ?corners ~options tech netlist spec ~inj ~prj
       else Trace.Bypass
     in
     emit t (span r ~wall_s cache);
-    r
+    (r, cache)
 
 (* Fault site on the sizing entries: lets tests crash a worker domain
    mid-batch or force a failed result without touching the sizer. *)
@@ -774,13 +774,16 @@ let sizing_span label r ~wall_s cache =
 let label_of ?label (netlist : Netlist.t) =
   match label with Some l -> l | None -> netlist.Netlist.name
 
-let size t ?label ~options tech netlist spec =
+let size_status t ?label ~options tech netlist spec =
   memoized t ~tag:"size" ~options tech netlist spec
     ~inj:(fun r -> Cache.Sized r)
     ~prj:(function Cache.Sized r -> Some r | _ -> None)
     ~keep:Result.is_ok
     ~span:(sizing_span (label_of ?label netlist))
     (worker_fault (fun () -> Sizer.size_typed ~options tech netlist spec))
+
+let size t ?label ~options tech netlist spec =
+  fst (size_status t ?label ~options tech netlist spec)
 
 (* Each respecification round's per-corner golden STA runs land on the
    worker pool — inline when this sizing is itself an item of a pool
@@ -790,7 +793,7 @@ let size_robust t ?label ~options corners netlist spec =
     Printf.sprintf "%s[%s]" (label_of ?label netlist) (Corners.to_string corners)
   in
   let mapper = { Sizer.map = (fun f xs -> map t f xs) } in
-  memoized t ~tag:"robust" ~corners ~options
+  fst @@ memoized t ~tag:"robust" ~corners ~options
     (Corners.nominal corners).Corners.tech netlist spec
     ~inj:(fun r -> Cache.Robust r)
     ~prj:(function Cache.Robust r -> Some r | _ -> None)
@@ -801,7 +804,7 @@ let size_robust t ?label ~options corners netlist spec =
 
 let minimize_delay t ?label ~options tech netlist spec =
   let label = label_of ?label netlist in
-  memoized t ~tag:"min-delay" ~options tech netlist spec
+  fst @@ memoized t ~tag:"min-delay" ~options tech netlist spec
     ~inj:(fun r -> Cache.Min r)
     ~prj:(function Cache.Min r -> Some r | _ -> None)
     ~keep:Result.is_ok
@@ -815,7 +818,7 @@ let minimize_delay t ?label ~options tech netlist spec =
    outcomes it also survives across binaries. *)
 let analyze t ?label ~options tech netlist spec =
   let label = label_of ?label netlist in
-  memoized t ~tag:"absint" ~options tech netlist spec
+  fst @@ memoized t ~tag:"absint" ~options tech netlist spec
     ~inj:(fun a -> Cache.Analysis a)
     ~prj:(function Cache.Analysis a -> Some a | _ -> None)
     ~span:(fun _ ~wall_s cache -> Trace.Analysis { label; wall_s; cache })

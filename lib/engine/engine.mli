@@ -228,6 +228,18 @@ val size :
   (Sizer.outcome, Err.t) result
 (** Memoized {!Sizer.size_typed}; emits one {!Trace.Sizing} span. *)
 
+val size_status :
+  t ->
+  ?label:string ->
+  options:Sizer.options ->
+  Tech.t ->
+  Netlist.t ->
+  Constraints.spec ->
+  (Sizer.outcome, Err.t) result * Trace.cache_status
+(** {!size}, also saying where the result came from: a [Hit] or [Disk]
+    result ran nothing here, so its [sta_verifies] count belongs to the
+    run that first produced it. *)
+
 val size_robust :
   t ->
   ?label:string ->

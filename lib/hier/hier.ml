@@ -692,7 +692,7 @@ type task = {
 }
 
 let make_tasks ctx options (spec : Constraints.spec) units ~sizing
-    ~(sta : Sta.t) ~anchors ~factor =
+    ~(sta : Sta.t) ~anchors ~factor ~sta_runs =
   let q = qlog options.boundary_quantum in
   let slope_floor =
     match spec.Constraints.input_slope with
@@ -751,6 +751,7 @@ let make_tasks ctx options (spec : Constraints.spec) units ~sizing
         match Hashtbl.find_opt anchors u.u_name with
         | Some v -> v
         | None ->
+          incr sta_runs;
           let d =
             (Sta.analyze ~input_slope:qslope ctx.tech sub ~sizing)
               .Sta.max_delay
@@ -826,23 +827,32 @@ let sub_spec (spec : Constraints.spec) t ~budget =
 (* Solve one group's representative, relaxing an infeasible budget a few
    times (a self-normalized budget is feasible by construction at factor
    one, but a tightened one can cross a unit's intrinsic wall; relaxation
-   re-keys the boundary digest automatically). *)
+   re-keys the boundary digest automatically).  Alongside the result: the
+   attempts made and the golden STAs they ran (none for a cache hit; a
+   failed attempt reports no outcome, so its STAs go uncounted, as in the
+   engine's own sizing span). *)
 let solve_group engine (opts : options) ctx spec group =
   let rep = List.hd group in
   let sub = rep.t_sub in
-  let rec attempt budget tries =
-    let r =
-      Engine.size engine
+  let rec attempt budget tries stas =
+    let r, cache =
+      Engine.size_status engine
         ~label:(span_label ctx rep.t_unit.u_name)
         ~options:opts.sizer ctx.tech sub (sub_spec spec rep ~budget)
     in
+    let stas =
+      match (r, cache) with
+      | Ok o, (Engine.Trace.Miss | Engine.Trace.Bypass) ->
+        stas + o.Sizer.sta_verifies
+      | _ -> stas
+    in
     match r with
-    | Ok o -> Ok (o, tries + 1)
+    | Ok o -> (Ok o, tries + 1, stas)
     | Error (Err.Infeasible_spec _ | Err.Sta_disagreement _) when tries < 2 ->
-      attempt (budget *. 1.35) (tries + 1)
-    | Error e -> Error (e, tries + 1)
+      attempt (budget *. 1.35) (tries + 1) stas
+    | Error e -> (Error e, tries + 1, stas)
   in
-  (group, attempt rep.t_budget 0)
+  (group, attempt rep.t_budget 0 0)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly and the outer boundary fixed point                         *)
@@ -879,7 +889,7 @@ let area_posy nl =
     (List.map (fun (l, m) -> Monomial.make m [ (l, 1.) ]) (Netlist.label_widths nl))
 
 let synthesize_outcome ctx (spec : Constraints.spec) tbl sta ~prech ~iterations
-    ~solved =
+    ~solved ~sta_verifies =
   let outcomes = List.map snd solved in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
   let area = area_posy ctx.nl in
@@ -918,7 +928,7 @@ let synthesize_outcome ctx (spec : Constraints.spec) tbl sta ~prech ~iterations
       List.concat_map (fun o -> o.Sizer.gp_newton_per_round) outcomes;
     gp_families = 0;
     certified_rounds = sum (fun o -> o.Sizer.certified_rounds);
-    sta_verifies = sum (fun o -> o.Sizer.sta_verifies);
+    sta_verifies;
     converged = true;
     constraint_stats = stats;
     sta;
@@ -954,6 +964,14 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
   let anchors = Hashtbl.create 64 in
   let prech_last = ref None in
   let total_solves = ref 0 in
+  (* Golden STAs run for this composite: the outer loop's own (unit
+     anchors, evaluate and precharge timing) plus every subsolve that ran,
+     across all iterations. *)
+  let sta_runs = ref 0 in
+  let analyze ?mode sizing =
+    incr sta_runs;
+    Sta.analyze ?mode tech nl ~sizing
+  in
   let cut_arr = ref None in
   let movement = ref infinity in
   let finish ~iterations ~solved sta_final prech =
@@ -976,7 +994,8 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
     in
     {
       sizer =
-        synthesize_outcome ctx spec !sizing sta_final ~prech ~iterations ~solved;
+        synthesize_outcome ctx spec !sizing sta_final ~prech ~iterations ~solved
+          ~sta_verifies:!sta_runs;
       report;
     }
   in
@@ -1012,7 +1031,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
       let sta_cur =
         match !sta with
         | Some s -> s
-        | None -> Sta.analyze tech nl ~sizing:(sizing_of_tbl !sizing)
+        | None -> analyze (sizing_of_tbl !sizing)
       in
       let prech_cur =
         match !prech_last with
@@ -1020,8 +1039,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
         | None ->
           if has_domino nl then begin
             let p =
-              Sta.analyze ~mode:Sta.Precharge tech nl
-                ~sizing:(sizing_of_tbl !sizing)
+              analyze ~mode:Sta.Precharge (sizing_of_tbl !sizing)
             in
             if p.Sta.reachable_outputs = 0 then 0. else p.Sta.max_delay
           end
@@ -1062,7 +1080,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
         group_tasks
           (make_tasks ctx options spec d.d_units
              ~sizing:(sizing_of_tbl !sizing) ~sta:sta_cur ~anchors
-             ~factor:!factor)
+             ~factor:!factor ~sta_runs)
       in
       (* Quantization can freeze every task key even though the factor
          moved; identical keys would replay the cached solves and spin.
@@ -1111,26 +1129,26 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
       | None ->
       let results = Engine.map engine (solve_group engine options ctx spec) groups in
       List.iter
-        (fun (_, r) ->
-          match r with
-          | Ok (_, tries) | Error (_, tries) -> total_solves := !total_solves + tries)
+        (fun (_, (_, tries, stas)) ->
+          total_solves := !total_solves + tries;
+          sta_runs := !sta_runs + stas)
         results;
       match
         List.find_map
-          (function _, Error (e, _) -> Some e | _, Ok _ -> None)
+          (function _, (Error e, _, _) -> Some e | _, (Ok _, _, _) -> None)
           results
       with
       | Some e -> Error e
       | None ->
         let solved =
           List.map
-            (fun (g, r) ->
-              match r with Ok (o, _) -> (g, o) | Error _ -> assert false)
+            (fun (g, (r, _, _)) ->
+              match r with Ok o -> (g, o) | Error _ -> assert false)
             results
         in
         let tbl = assemble ctx solved in
         let fn = sizing_of_tbl tbl in
-        let sta_new = Sta.analyze tech nl ~sizing:fn in
+        let sta_new = analyze fn in
         let arr =
           List.map (fun nid -> (nid, Sta.arrival sta_new nid)) d.d_cut
         in
@@ -1148,7 +1166,7 @@ let size ?(options = default_options) ?label ~engine tech nl spec =
         sta := Some sta_new;
         let prech_sta =
           if has_domino nl then
-            Some (Sta.analyze ~mode:Sta.Precharge tech nl ~sizing:fn)
+            Some (analyze ~mode:Sta.Precharge fn)
           else None
         in
         let prech =

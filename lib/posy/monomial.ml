@@ -68,13 +68,17 @@ let make c exps =
     Err.fail "Monomial.make: coefficient %g must be positive" c;
   { coeff = c; exps = normalise exps; rc = [ (0., c) ] }
 
+let of_normalised c exps rc =
+  if not (c > 0.) || Float.is_nan c then
+    Err.fail "Monomial.of_normalised: coefficient %g must be positive" c;
+  { coeff = c; exps; rc = rc_norm rc }
+
 let make_deg ~deg c exps = { (make c exps) with rc = [ (deg, c) ] }
 let const c = make c []
 let var x = make 1. [ (x, 1.) ]
 let coeff m = m.coeff
 let exponents m = m.exps
 let rc m = m.rc
-let with_rc rc m = { m with rc = rc_norm rc }
 let degree_of m x = try List.assoc x m.exps with Not_found -> 0.
 
 let coeff_at s m =

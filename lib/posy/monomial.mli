@@ -27,16 +27,19 @@ val make_deg : deg:float -> float -> (string * float) list -> t
     coefficient then carries an exact degree decomposition maintained by
     {!mul}, {!pow}, {!scale} and posynomial merging. *)
 
+val of_normalised : float -> (string * float) list -> (float * float) list -> t
+(** [of_normalised c exps rc] is [make c exps] carrying the RC
+    decomposition [rc] (equal degrees merged, sorted by degree; [[]]
+    marks it lost).  [exps] must already be in normal form — the
+    {!exponents} of some monomial — and is not normalised again.  Used
+    by posynomial merging to sum coefficients and decompositions; not
+    meant for general use. *)
+
 val rc : t -> (float * float) list
 (** The coefficient's decomposition by RC degree, [(degree, partial)]
     sorted by degree with the partials summing to {!coeff}.  [[]] when
     the decomposition was lost (an operation could not maintain it);
     {!project} and {!coeff_at} then return [None]. *)
-
-val with_rc : (float * float) list -> t -> t
-(** Replace the RC decomposition (normalised: equal degrees merged,
-    sorted).  Used by posynomial merging to sum decompositions alongside
-    coefficients; not meant for general use. *)
 
 val coeff_at : float -> t -> float option
 (** [coeff_at s m] is the coefficient at corner scale [s]:

@@ -1,7 +1,8 @@
 module Err = Smart_util.Err
 
-(* Invariant: the term list is non-empty, sorted by exponent vector, and
-   holds at most one monomial per distinct exponent vector. *)
+(* Invariant: the term list is non-empty, sorted by [Monomial.compare]
+   (coefficient first, then exponent vector), and holds at most one
+   monomial per distinct exponent vector. *)
 type t = Monomial.t list
 
 let merge terms =
@@ -23,11 +24,7 @@ let merge terms =
     terms;
   Hashtbl.fold
     (fun key (c, rc) acc ->
-      let m = Monomial.make c key in
-      let m =
-        match rc with Some r -> Monomial.with_rc r m | None -> Monomial.with_rc [] m
-      in
-      m :: acc)
+      Monomial.of_normalised c key (Option.value rc ~default:[]) :: acc)
     tbl []
   |> List.sort Monomial.compare
 

@@ -178,6 +178,60 @@ let test_mux_generation_all_topologies () =
       checkb (Macro.name info) true (gen.C.timing_constraints > 0))
     (Mux.all_for ~n:4 ())
 
+(* The 314-gate chained datapath the SMART benchmark's datapath-hier
+   workload sizes: many paths over few distinct stages. *)
+let bench_datapath () =
+  (Smart_macros.Datapath.generate ~ext_load:30. ~columns:4 ~stages:15 ~tail:8 ())
+    .Macro.netlist
+
+(* One "constraints.generate" event per call, and on the datapath far
+   fewer stage delays computed than path steps visited. *)
+let test_generate_tracepoint () =
+  let module Tp = Smart_util.Tracepoint in
+  let events = ref [] in
+  Tp.set_sink (Some (fun e -> events := e :: !events));
+  Fun.protect ~finally:(fun () -> Tp.set_sink None) (fun () ->
+      let int_attr (e : Tp.event) k =
+        match List.assoc_opt k e.Tp.attrs with
+        | Some (Tp.Int i) -> i
+        | _ -> Alcotest.failf "attribute %s missing" k
+      in
+      let one name gen =
+        events := [];
+        let (g : C.result) = gen () in
+        match !events with
+        | [ e ] ->
+          Alcotest.(check string) (name ^ " span") "constraints.generate" e.Tp.span;
+          checki (name ^ " inequalities")
+            (List.length g.C.problem.P.inequalities)
+            (int_attr e "inequalities");
+          checki (name ^ " paths") g.C.path_count (int_attr e "paths");
+          checki (name ^ " pruned") g.C.dominated_pruned (int_attr e "pruned");
+          checkb (name ^ " timing before pruning") true
+            (int_attr e "timing" >= g.C.timing_constraints);
+          (int_attr e "steps", int_attr e "stage_delays")
+        | l -> Alcotest.failf "%s: %d events" name (List.length l)
+      in
+      let steps, computed =
+        one "datapath" (fun () -> C.generate tech (bench_datapath ()) (C.spec 900.))
+      in
+      checkb "stage memo engaged" true (computed > 0 && computed < steps);
+      let cla = (Smart_macros.Cla_adder.generate ~bits:8 ()).Macro.netlist in
+      ignore (one "min-delay" (fun () -> C.generate_min_delay tech cla (C.spec 400.))))
+
+(* Generation must cost the datapath's distinct stages, not its path
+   steps: about 63 M minor words with the per-call stage-delay memo,
+   against ~313 M when every step's delay is recomputed and every merged
+   term re-normalised. *)
+let test_datapath_generation_allocation () =
+  let nl = bench_datapath () in
+  let w0 = Gc.minor_words () in
+  ignore (C.generate tech nl (C.spec 900.));
+  let words = Gc.minor_words () -. w0 in
+  checkb
+    (Printf.sprintf "%.0f M minor words <= 100 M" (words /. 1e6))
+    true (words <= 100e6)
+
 let () =
   Alcotest.run "smart_constraints"
     [
@@ -198,5 +252,8 @@ let () =
           Alcotest.test_case "dominance pruning" `Quick test_dominance_pruning_effective;
           Alcotest.test_case "spec defaults" `Quick test_spec_defaults;
           Alcotest.test_case "all mux topologies" `Quick test_mux_generation_all_topologies;
+          Alcotest.test_case "generate tracepoint" `Quick test_generate_tracepoint;
+          Alcotest.test_case "datapath generation allocation" `Quick
+            test_datapath_generation_allocation;
         ] );
     ]

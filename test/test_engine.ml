@@ -261,7 +261,35 @@ let test_sizing_span_counts_sta_runs () =
           Result.is_ok (Engine.size e ~options tech nl (C.spec 150.)));
       check "fast,typ,slow" (fun () ->
           Result.is_ok
-            (Engine.size_robust e ~options corners nl (C.spec 200.))))
+            (Engine.size_robust e ~options corners nl (C.spec 200.)));
+      (* A hierarchical composite emits no sizing span of its own (its
+         subsolves do); its count must cover the outer loop's anchor,
+         evaluate and precharge STAs as well as every subsolve that ran,
+         over all outer iterations. *)
+      let dp =
+        (Smart_macros.Datapath.generate ~columns:2 ~stages:3 ~tail:2 ())
+          .Macro.netlist
+      in
+      checkb "`Force engages" true (Smart_hier.Hier.engages `Force dp);
+      let target =
+        0.8
+        *. (Smart_sta.Sta.analyze tech dp ~sizing:(fun _ -> 4. *. tech.Tech.w_min))
+             .Smart_sta.Sta.max_delay
+      in
+      let seen = List.length (drain ()) in
+      match Smart_hier.Hier.size ~engine:e tech dp (C.spec target) with
+      | Error err -> Alcotest.failf "hier: %s" (Smart_util.Err.to_string err)
+      | Ok h ->
+        let stas =
+          List.length
+            (List.filter
+               (function Engine.Trace.Sta_verify _ -> true | _ -> false)
+               (List.filteri (fun i _ -> i >= seen) (drain ())))
+        in
+        checkb "hier ran outer iterations" true
+          (h.Smart_hier.Hier.report.Smart_hier.Hier.outer_iterations >= 1);
+        checki "hier sta_verifies = STA runs" stas
+          h.Smart_hier.Hier.sizer.Sizer.sta_verifies)
 
 (* (e) Trace sinks under many domains.  [memory] used to lose events to
    the non-atomic [events := e :: !events] read-modify-write; the stress
